@@ -2,20 +2,22 @@
 
 Covers strong connectivity, diameter, simple-cycle enumeration, primitivity,
 the exponent, set exponents and upper multiexponents.  Vertices are 1-based
-in the public API; adjacency and reachability live in bit-packed row masks
-so subset coverage checks are single-word unions.
+in the public API; adjacency and reachability live in bit-packed row masks,
+so a set's coverage check is a single-word union.  The maximum of a
+coverage length over all k-sets never visits the sets: one private kernel
+reads it off how many rows each column misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ConsistencyError, StructuralError
-
-MAX_ORDER = 16
+from .gsign import MAX_ORDER
 
 #: enumerate_cycles aborts rather than return more cycles than this.
 CYCLE_OUTPUT_LIMIT = 10**6
@@ -291,47 +293,30 @@ def set_exponent(d: Digraph, xs: Iterable[int]) -> int:
     raise AssertionError("unreachable")
 
 
+def _multiexponent_cap(n: int, k: int) -> int:
+    # The kth upper multiexponent of a primitive digraph is at most
+    # (n-k)(n-1)+1 (Brualdi and Liu); one step of slack.
+    return (n - k) * (n - 1) + 2
+
+
 def multiexponent_table(d: Digraph) -> tuple[int, ...]:
     """Upper multiexponents for every subset size k = 1..n in one scan.
 
-    Walks length up one step at a time, dropping each subset once covered;
-    the value for k is the step at which its slowest subset is covered.
-    Coverage by exact-length walks is monotone in the length for strongly
-    connected digraphs (extend any walk through an in-neighbor), so the
-    last subset covered realizes the maximum of the per-subset minima.
+    Walks length up one step at a time; the value for k is the first
+    length at which every k-set reaches all vertices, which the coverage
+    kernel reads off the reach rows without visiting any subset.  Coverage
+    by exact-length walks is monotone in the length for strongly connected
+    digraphs (extend any walk through an in-neighbor), as the kernel needs.
     """
     if not is_primitive(d):
         raise StructuralError("multiexponent requires a primitive digraph")
     n = d.n
-    full = (1 << n) - 1
-    pending: list[tuple[int, int]] = []  # (subset mask, k)
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for u in combo:
-                mask |= 1 << u
-            pending.append((mask, k))
-    table = [0] * (n + 1)
-    cap = (n - 1) * (n - 1) + 2
-    for l, rows in iter_reach_rows(d):
-        still = []
-        for mask, k in pending:
-            union = 0
-            m = mask
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                union |= rows[u]
-            if union == full:
-                table[k] = max(table[k], l)
-            else:
-                still.append((mask, k))
-        pending = still
-        if not pending:
-            return tuple(table[1:])
-        if l > cap:
-            raise ConsistencyError("multiexponent scan exceeded the Wielandt bound")
-    raise AssertionError("unreachable")
+    found = _coverage_lengths(
+        iter_reach_rows(d),
+        {k: _multiexponent_cap(n, k) for k in range(1, n + 1)},
+        "multiexponent",
+    )
+    return tuple(found[k][0] for k in range(1, n + 1))
 
 
 def upper_multiexponent(d: Digraph, k: int) -> int:
@@ -340,32 +325,84 @@ def upper_multiexponent(d: Digraph, k: int) -> int:
         raise StructuralError("multiexponent requires a primitive digraph")
     if not (1 <= k <= d.n):
         raise ValueError(f"k must be in 1..{d.n}")
-    n = d.n
-    full = (1 << n) - 1
-    pending = []
-    for combo in combinations(range(n), k):
-        mask = 0
-        for u in combo:
-            mask |= 1 << u
-        pending.append(mask)
-    cap = (n - k) * (n - 1) + 2
-    for l, rows in iter_reach_rows(d):
-        still = []
-        for mask in pending:
-            union = 0
-            m = mask
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                union |= rows[u]
-            if union != full:
-                still.append(mask)
-        pending = still
-        if not pending:
-            return l
-        if l > cap:
-            raise ConsistencyError("multiexponent scan exceeded its structural bound")
+    found = _coverage_lengths(
+        iter_reach_rows(d), {k: _multiexponent_cap(d.n, k)}, "multiexponent"
+    )
+    return found[k][0]
+
+
+def _coverage_lengths(
+    stream: Iterable[tuple[int, Sequence[int]]],
+    ceilings: Mapping[int, int],
+    what: str,
+) -> dict[int, tuple[int, Sequence[int]]]:
+    """Per requested k, the first length at which every k-set of rows
+    covers every column, with the rows one length earlier.
+
+    ``stream`` yields ``(length, rows)`` at consecutive lengths, where bit v
+    of ``rows[u]`` says row u covers column v; coverage of a row set must
+    be monotone in the length.  A k-set fails to cover exactly when it lies
+    inside the rows one column misses, so k resolves at the first length
+    where no column misses k or more rows.  A larger k resolves no later,
+    so each length tests only the largest pending k, and column counts are
+    taken only when it resolves.  Before the first length every row
+    misses every column.  A k still pending at ``ceilings[k]`` raises
+    :class:`ConsistencyError`.
+    """
+    pending = sorted(ceilings, reverse=True)
+    found: dict[int, tuple[int, Sequence[int]]] = {}
+    prev: Sequence[int] | None = None
+    for length, rows in stream:
+        n = len(rows)
+        if prev is None:
+            prev = [0] * n
+        if _no_column_misses(rows, pending[0], n):
+            most = max(sum(not r >> v & 1 for r in rows) for v in range(n))
+            while pending and pending[0] > most:
+                found[pending.pop(0)] = (length, prev)
+            if not pending:
+                return found
+        for k in pending:
+            if length >= ceilings[k]:
+                raise ConsistencyError(
+                    f"{what} scan for k={k} passed its ceiling {ceilings[k]}; "
+                    "this indicates a bug"
+                )
+        prev = rows
     raise AssertionError("unreachable")
+
+
+def _no_column_misses(rows: Sequence[int], k: int, n: int) -> bool:
+    """True iff no column is missed by ``k`` or more of ``rows``.
+
+    For k = 1 every row must be full and for k = n the union must be; both
+    are single reductions.  Otherwise saturating bit-sliced counters count
+    each column's misses up to k.
+    """
+    full = (1 << n) - 1
+    if k == 1:
+        return reduce(and_, rows) == full
+    if k == n:
+        return reduce(or_, rows) == full
+    at_least = [full] + [0] * k
+    for r in rows:
+        missed = r ^ full
+        for j in range(k, 0, -1):
+            at_least[j] |= at_least[j - 1] & missed
+    return not at_least[k]
+
+
+def _least_uncovered(rows: Sequence[int], k: int) -> tuple[int, ...]:
+    """Lexicographically least k-set of rows, 1-based, that leaves some
+    column uncovered: the least over columns of the k smallest rows that
+    miss it."""
+    n = len(rows)
+    sets = []
+    for v in range(n):
+        missing = [u + 1 for u in range(n) if not rows[u] >> v & 1]
+        if len(missing) >= k:
+            sets.append(tuple(missing[:k]))
+    return min(sets)
 
 
 def shortest_cycle_length(d: Digraph) -> int:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import accumulate, repeat
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, OrderMismatchError
 
@@ -202,20 +203,6 @@ def mat_power(a: SignPattern, l: int) -> SignPattern:
     return result
 
 
-def iter_powers(a: SignPattern) -> Iterator[tuple[int, SignPattern]]:
-    """Yield ``(l, a**l)`` for l = 1, 2, ... indefinitely.
-
-    Base and coverage scans consume this stream so every intermediate power
-    is computed exactly once per scan.
-    """
-    p = a
-    l = 1
-    while True:
-        yield l, p
-        p = mat_mul(p, a)
-        l += 1
-
-
 @dataclass(frozen=True)
 class PowerTrace:
     """First repetition in the power sequence of a pattern.
@@ -240,14 +227,15 @@ def power_sequence_base(a: SignPattern) -> PowerTrace:
     """
     if has_amb(a):
         raise ValueError("power-sequence base is defined for pure patterns only")
+    return _first_repeat(accumulate(repeat(a), mat_mul))
+
+
+def _first_repeat(powers: Iterable[SignPattern]) -> PowerTrace:
+    """:class:`PowerTrace` of a power sequence given as a^1, a^2, ..."""
     seen: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    powers: list[SignPattern] = []
-    p = a
-    l = 1
-    while (key := (p.pos_rows, p.neg_rows)) not in seen:
-        seen[key] = l
-        powers.append(p)
-        p = mat_mul(p, a)
-        l += 1
-    first = seen[key]
-    return PowerTrace(base_l=first, period_p=l - first, stabilized=powers[first - 1])
+    for l, p in enumerate(powers, 1):
+        key = (p.pos_rows, p.neg_rows)
+        first = seen.setdefault(key, l)
+        if first != l:
+            return PowerTrace(base_l=first, period_p=l - first, stabilized=p)
+    raise AssertionError("unreachable")

@@ -15,20 +15,22 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import lcm
 from typing import Iterable
 
 from .digraph import (
-    MAX_ORDER,
     Digraph,
+    _coverage_lengths,
+    _least_uncovered,
+    _vertex_mask,
     diameter,
     enumerate_cycles,
     is_primitive,
     upper_multiexponent,
 )
 from .errors import CapacityError, ConsistencyError, StructuralError
-from .gsign import GenSign, PowerTrace, SignPattern, mat_mul, power_sequence_base
+from .gsign import MAX_ORDER, GenSign, PowerTrace, SignPattern, _first_repeat, mat_mul
 
 
 class SignedDigraph:
@@ -147,10 +149,11 @@ class SignedDigraph:
         return [pr & nr for pr, nr in zip(p.pos_rows, p.neg_rows)]
 
     def power_trace(self) -> PowerTrace:
+        """First repetition in the power sequence, read from the power cache."""
         with self._lock:
             trace = self._trace
         if trace is None:
-            trace = power_sequence_base(self.pattern())
+            trace = _first_repeat(self.power(l) for l in count(1))
             with self._lock:
                 self._set("_trace", trace)
         return trace
@@ -332,15 +335,6 @@ def _scan_cap(s: SignedDigraph, k: int) -> int:
     return trace.base_l + trace.period_p
 
 
-def _mask_of(n: int, xs: Iterable[int]) -> int:
-    mask = 0
-    for x in xs:
-        if not (1 <= x <= n):
-            raise ValueError(f"vertex {x} out of range for order {n}")
-        mask |= 1 << (x - 1)
-    return mask
-
-
 def set_base(s: SignedDigraph, xs: Iterable[int]) -> int:
     """Base of the vertex set ``xs``: least p at which every vertex receives
     an opposite-sign walk pair of length exactly p from somewhere in ``xs``.
@@ -351,7 +345,7 @@ def set_base(s: SignedDigraph, xs: Iterable[int]) -> int:
     without strong connectivity, and this function requires primitivity.
     """
     _require_base_input(s, "the set base")
-    x_mask = _mask_of(s.n, xs)
+    x_mask = _vertex_mask(s.n, xs)
     if not x_mask:
         raise ValueError("vertex set must be nonempty")
     k = bin(x_mask).count("1")
@@ -384,69 +378,35 @@ class UpperBaseResult:
 def kth_upper_base(s: SignedDigraph, k: int) -> UpperBaseResult:
     """Largest set base over all k-element vertex sets, with a witness.
 
-    One shared power sequence serves every subset; each subset drops out
-    of the scan at its own base, and the last to drop attains the maximum.
-    Ties pick the lexicographically smallest vertex set.
+    Coverage is monotone in the length (see :func:`set_base`), so this is
+    the first length p at which every k-set is served: no column of the
+    p-th ambiguity matrix may miss k or more rows.  The witness is the
+    lexicographically smallest k-set still unserved at p - 1, which is the
+    smallest among the k-sets whose base is the maximum.
     """
     _require_base_input(s, "the upper base")
     if not (1 <= k <= s.n):
         raise ValueError(f"k must be in 1..{s.n}")
-    results = _upper_base_scan(s, [k])
-    return results[0]
+    return _upper_bases(s, [k])[0]
 
 
 def upper_base_table(s: SignedDigraph) -> tuple[UpperBaseResult, ...]:
-    """Upper bases for every k = 1..n from a single power-sequence scan."""
+    """Upper bases with witnesses for every k = 1..n from a single scan of
+    the power sequence, as in :func:`kth_upper_base`."""
     _require_base_input(s, "the upper base")
-    return tuple(_upper_base_scan(s, list(range(1, s.n + 1))))
+    return tuple(_upper_bases(s, list(range(1, s.n + 1))))
 
 
-def _upper_base_scan(s: SignedDigraph, k_values: list[int]) -> list[UpperBaseResult]:
-    n = s.n
-    full = (1 << n) - 1
-    pending: list[tuple[int, tuple[int, ...], int]] = []
-    for k in k_values:
-        for combo in combinations(range(1, n + 1), k):
-            mask = 0
-            for x in combo:
-                mask |= 1 << (x - 1)
-            pending.append((mask, combo, k))
-    best_p = {k: 0 for k in k_values}
-    best_witness: dict[int, tuple[int, ...]] = {}
-    hard_cap = max(_scan_cap(s, k) for k in k_values)
-    p = 0
-    while pending:
-        p += 1
-        if p > hard_cap:
-            raise ConsistencyError(
-                f"upper-base scan passed its ceiling {hard_cap}; this indicates a bug"
-            )
-        masks = s.amb_row_masks(p)
-        still = []
-        for mask, combo, k in pending:
-            union = 0
-            m = mask
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                union |= masks[u]
-            if union == full:
-                if p > best_p[k]:
-                    best_p[k] = p
-                    best_witness[k] = combo
-                elif p == best_p[k] and combo < best_witness[k]:
-                    best_witness[k] = combo
-            else:
-                still.append((mask, combo, k))
-        pending = still
+def _upper_bases(s: SignedDigraph, k_values: list[int]) -> list[UpperBaseResult]:
+    found = _coverage_lengths(
+        ((p, s.amb_row_masks(p)) for p in count(1)),
+        {k: _scan_cap(s, k) for k in k_values},
+        "upper-base",
+    )
     results = []
     for k in k_values:
-        cap = _scan_cap(s, k)
-        if best_p[k] > cap:
-            raise ConsistencyError(
-                f"upper base {best_p[k]} for k={k} exceeds its ceiling {cap}"
-            )
-        results.append(UpperBaseResult(k=k, value=best_p[k], witness=best_witness[k]))
+        p, before = found[k]
+        results.append(UpperBaseResult(k=k, value=p, witness=_least_uncovered(before, k)))
     return results
 
 

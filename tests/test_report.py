@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from signbase import ConsistencyError, SignedDigraph, parse_sdg
+from signbase import ConsistencyError, SignedDigraph, build_d1, gsign, parse_sdg, signed
 from signbase.report import build_report, input_digest, render_text, report_json
 
 from conftest import TINY3_ARCS
@@ -79,3 +79,21 @@ def test_audit_rejects_bound_below_value(tiny3_report):
     doc["bounds"][0]["walk_pair"]["value"] = 1
     with pytest.raises(ConsistencyError, match="walk-pair"):
         _audit(doc)
+
+
+def test_report_computes_each_power_once(monkeypatch):
+    # d1 at n = 9 has L_1 = 137 = its generalized base with period 1: the
+    # power cache holds a^1..a^138, built by 137 products, and the power
+    # trace must read that cache instead of multiplying again.
+    calls = []
+    real = gsign.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(gsign, "mat_mul", counting)
+    monkeypatch.setattr(signed, "mat_mul", counting)
+    doc = build_report(build_d1(9))
+    assert doc["bases"]["table"][0]["value"] == 137
+    assert len(calls) <= 137
