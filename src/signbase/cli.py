@@ -3,16 +3,13 @@
 Exit codes: 0 success, 1 analysis-level failure (bad structure, policy or
 argument for the requested computation), 2 usage or parse error, 3 internal
 consistency failure (a computed value contradicted a structural guarantee).
-Results go to stdout, diagnostics to stderr.  The environment variable
-SIGNBASE_THREADS (a positive integer) caps worker parallelism inside the
-verification suites.
+Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -91,19 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("SIGNBASE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"SIGNBASE_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ParseError(f"SIGNBASE_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _cmd_analyze(args) -> int:
     s = load_sdg(args.file)
     ks = [args.k] if args.k is not None else None
@@ -137,23 +121,22 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = _threads_from_env()
+    if args.n_min > args.n_max:
+        raise ParseError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.samples < 0:
+        raise ParseError(f"--samples must be non-negative, got {args.samples}")
     if args.suite == "closed-forms":
-        outcomes = verify_closed_forms(
-            range(args.n_min, args.n_max + 1), threads=threads
-        )
+        outcomes = verify_closed_forms(range(args.n_min, args.n_max + 1))
     elif args.suite == "gap":
         outcomes = []
         for n in range(args.n_min, args.n_max + 1):
             outcomes.extend(
-                verify_third_bound_and_gap(
-                    n, sample_count=args.samples, seed=args.seed, threads=threads
-                )
+                verify_third_bound_and_gap(n, sample_count=args.samples, seed=args.seed)
             )
     else:
-        outcomes = verify_oracle_agreement(
-            sample_count=args.samples, seed=args.seed, threads=threads
-        )
+        if args.samples == 0:
+            raise ParseError("the oracle suite needs --samples of at least 1")
+        outcomes = verify_oracle_agreement(sample_count=args.samples, seed=args.seed)
     passed = all(o.passed for o in outcomes)
     doc = {
         "schema_version": 1,

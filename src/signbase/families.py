@@ -10,7 +10,6 @@ the vertex windows 1..n-1 and 2..n.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -331,17 +330,9 @@ def _outcome(
     )
 
 
-def _run_tasks(tasks, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), tasks))
-    return [f() for f in tasks]
-
-
 def verify_closed_forms(
     n_values: Iterable[int] = (6, 7, 8),
     k_values: Iterable[int] | None = None,
-    threads: int = 1,
 ) -> list[VerificationOutcome]:
     """Recompute the exact upper bases of both families and compare.
 
@@ -353,10 +344,9 @@ def verify_closed_forms(
     for n in ns:
         if not (6 <= n <= 9):
             raise ValueError("closed-form verification covers orders 6..9")
-
-    def task(n: int):
+    out = []
+    for n in ns:
         ks = sorted(set(k_values)) if k_values is not None else list(range(1, n + 1))
-        out = []
         d1 = build_d1(n, CANONICAL_NONPOWERFUL)
         d2_same = build_d2(n, SAME_SIGN_NM1)
         d2_diff = build_d2(n, DIFFERENT_SIGN_NM1)
@@ -387,10 +377,7 @@ def verify_closed_forms(
                     0, bound, r3.value, r3.witness,
                 )
             )
-        return out
-
-    results = _run_tasks([lambda n=n: task(n) for n in ns], threads)
-    return [item for sub in results for item in sub]
+    return out
 
 
 def _gap_outcome(n: int, k: int, computed: int, note: str) -> VerificationOutcome:
@@ -407,7 +394,6 @@ def verify_third_bound_and_gap(
     sample_count: int = 200,
     seed: int = 0,
     extra: Iterable[SignedDigraph] = (),
-    threads: int = 1,
 ) -> list[VerificationOutcome]:
     """Sampled evidence for the third bound and the gap at order ``n``.
 
@@ -434,12 +420,11 @@ def verify_third_bound_and_gap(
     for i, s in enumerate(extra):
         population.append((f"extra-{i}", s))
 
-    def task(item: tuple[str, SignedDigraph]):
-        label, s = item
+    out = []
+    for label, s in population:
         d = s.underlying()
         iso_d1 = isomorphic_to(d, "d1")
         iso_d2 = isomorphic_to(d, "d2")
-        out = []
         for k in ks:
             result = kth_upper_base(s, k)
             ceiling = (2 * n - k) * (n - 1)
@@ -467,10 +452,7 @@ def verify_third_bound_and_gap(
                     )
                 )
             out.append(_gap_outcome(n, k, result.value, note=label))
-        return out
-
-    results = _run_tasks([lambda item=item: task(item) for item in population], threads)
-    return [item for sub in results for item in sub]
+    return out
 
 
 def verify_oracle_agreement(
@@ -479,7 +461,6 @@ def verify_oracle_agreement(
     max_order: int = 4,
     max_arcs: int = 7,
     max_length: int = 8,
-    threads: int = 1,
 ) -> list[VerificationOutcome]:
     """Compare the matrix path against brute-force walk enumeration.
 
@@ -487,12 +468,9 @@ def verify_oracle_agreement(
     length up to ``max_length``; the outcome counts disagreeing entries,
     which must be zero.
     """
-    samples = list(
-        enumerate(sample_signed_population(sample_count, seed, max_order, max_arcs))
-    )
-
-    def task(item: tuple[int, SignedDigraph]):
-        index, s = item
+    out = []
+    samples = sample_signed_population(sample_count, seed, max_order, max_arcs)
+    for index, s in enumerate(samples):
         mismatches = 0
         for l in range(1, max_length + 1):
             grid = sssd_matrix(s, l)
@@ -505,9 +483,10 @@ def verify_oracle_agreement(
                         mismatches += 1
                     if grid[u - 1][v - 1] != (pos and neg):
                         mismatches += 1
-        return _outcome(
-            "matrix-vs-walk-enumeration", s.n, 0, "equals", 0, 0, mismatches,
-            note=f"sample-{index}",
+        out.append(
+            _outcome(
+                "matrix-vs-walk-enumeration", s.n, 0, "equals", 0, 0, mismatches,
+                note=f"sample-{index}",
+            )
         )
-
-    return _run_tasks([lambda item=item: task(item) for item in samples], threads)
+    return out

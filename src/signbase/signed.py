@@ -228,6 +228,31 @@ def _require_primitive(s: SignedDigraph, what: str) -> None:
         raise StructuralError(f"{what} requires a primitive signed digraph")
 
 
+def _cycle_classes(s: SignedDigraph) -> set[tuple[int, int]]:
+    """The distinct (length, sign) classes of the cycles of ``s``; there are
+    at most 2n of them."""
+    # Signed lengths are small cached ints, so this pass over possibly
+    # millions of cycles allocates nothing per cycle.
+    signed_lengths = {c.length * c.sign for c in cycles(s)}
+    return {(abs(x), 1 if x > 0 else -1) for x in signed_lengths}
+
+
+def _pair_condition(a: tuple[int, int], b: tuple[int, int]) -> PairCondition | None:
+    """Which condition cycles of the (length, sign) classes ``a`` and ``b``
+    meet, or None when such a pair does not certify non-powerfulness.
+
+    Two cycles of one class never qualify, so a signed digraph is
+    non-powerful exactly when two of its classes do.
+    """
+    (la, sa), (lb, sb) = a, b
+    if la % 2 != lb % 2:
+        even_sign = sb if la % 2 else sa
+        return PairCondition.ODD_EVEN_NEGATIVE if even_sign < 0 else None
+    if la % 2 and sa != sb:
+        return PairCondition.ODD_ODD_OPPOSITE
+    return None
+
+
 def is_powerful(s: SignedDigraph) -> bool:
     """True iff no power of the sign matrix ever develops an ambiguous entry.
 
@@ -238,17 +263,8 @@ def is_powerful(s: SignedDigraph) -> bool:
     the two must always agree.
     """
     _require_primitive(s, "the powerfulness test")
-    has_odd = has_odd_pos = has_odd_neg = has_even_neg = False
-    for c in cycles(s):
-        if c.length % 2:
-            has_odd = True
-            if c.sign > 0:
-                has_odd_pos = True
-            else:
-                has_odd_neg = True
-        elif c.sign < 0:
-            has_even_neg = True
-    return not ((has_odd and has_even_neg) or (has_odd_pos and has_odd_neg))
+    classes = _cycle_classes(s)
+    return not any(_pair_condition(a, b) for a, b in combinations(classes, 2))
 
 
 def is_powerful_by_powers(s: SignedDigraph) -> bool:
@@ -272,14 +288,13 @@ def distinguished_pairs(s: SignedDigraph) -> list[DistinguishedPair]:
     records = cycles(s)
     pairs = []
     for a, b in combinations(records, 2):
-        pa, pb = a.length % 2, b.length % 2
-        if pa != pb:
-            odd, even = (a, b) if pa else (b, a)
-            if even.sign < 0:
-                pairs.append(_make_pair(odd, even, PairCondition.ODD_EVEN_NEGATIVE))
-        elif pa == 1 and a.sign != b.sign:
+        cond = _pair_condition((a.length, a.sign), (b.length, b.sign))
+        if cond is PairCondition.ODD_EVEN_NEGATIVE:
+            odd, even = (a, b) if a.length % 2 else (b, a)
+            pairs.append(_make_pair(odd, even, cond))
+        elif cond is PairCondition.ODD_ODD_OPPOSITE:
             c1, c2 = sorted((a, b), key=lambda c: (c.length, c.vertices))
-            pairs.append(_make_pair(c1, c2, PairCondition.ODD_ODD_OPPOSITE))
+            pairs.append(_make_pair(c1, c2, cond))
     pairs.sort(
         key=lambda p: (
             p.lcm_length,
@@ -490,7 +505,10 @@ def bound_common_vertices(s: SignedDigraph, k: int) -> ClosedWalkBound:
     if not (1 <= k <= s.n):
         raise ValueError(f"k must be in 1..{s.n}")
     f_k = upper_multiexponent(s.underlying(), k)
-    lengths = sorted({pair.lcm_length for pair in distinguished_pairs(s)})
+    classes = _cycle_classes(s)
+    lengths = sorted(
+        {lcm(a[0], b[0]) for a, b in combinations(classes, 2) if _pair_condition(a, b)}
+    )
     candidates = []
     for r in lengths:
         masks = s.amb_row_masks(r)

@@ -1,9 +1,13 @@
 """End-to-end CLI tests, run in-process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import signbase
 from signbase.cli import main
 
 TINY3_TEXT = "sdg n=3\n1 2 +\n2 1 -\n2 3 +\n3 1 +\n"
@@ -126,9 +130,29 @@ def test_verify_gap_cli_small(capsys):
     assert doc["passed"] is True
 
 
-def test_threads_env_validation(tiny3_file, capsys, monkeypatch):
-    monkeypatch.setenv("SIGNBASE_THREADS", "not-a-number")
-    assert main(["verify", "--suite", "oracle", "--samples", "2"]) == 2
-    assert "SIGNBASE_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SIGNBASE_THREADS", "2")
-    assert main(["verify", "--suite", "oracle", "--samples", "2"]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "gap", "--n-min", "8", "--n-max", "6"],
+        ["--suite", "closed-forms", "--n-min", "9", "--n-max", "6"],
+        ["--suite", "oracle", "--samples", "0"],
+        ["--suite", "oracle", "--samples", "-1"],
+        ["--suite", "gap", "--n-min", "6", "--n-max", "6", "--samples", "-1"],
+    ],
+)
+def test_verify_rejects_empty_runs(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--" in captured.err
+
+
+def test_cli_import_leaves_out_thread_pool():
+    code = "import sys, signbase.cli; print('concurrent.futures' in sys.modules)"
+    src_dir = os.path.dirname(os.path.dirname(signbase.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -142,12 +142,6 @@ def test_verify_third_bound_and_gap_small():
         verify_third_bound_and_gap(5)
 
 
-def test_verify_threads_agree():
-    seq = verify_third_bound_and_gap(6, sample_count=6, seed=9, threads=1)
-    par = verify_third_bound_and_gap(6, sample_count=6, seed=9, threads=3)
-    assert seq == par
-
-
 def test_verify_oracle_agreement_small():
     outcomes = verify_oracle_agreement(sample_count=25, seed=3)
     assert len(outcomes) == 25

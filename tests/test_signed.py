@@ -8,6 +8,7 @@ all-ambiguous power 11.
 
 import random
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -38,6 +39,8 @@ from signbase import (
     sssd_matrix,
     upper_base_table,
 )
+
+from signbase import signed
 
 from conftest import TINY3_ARCS
 
@@ -139,6 +142,39 @@ def test_distinguished_pairs_odd_odd():
     assert len(odd_odd) == 1
     assert odd_odd[0].c1.length == odd_odd[0].c2.length == 5
     assert odd_odd[0].c1.sign == -odd_odd[0].c2.sign
+
+
+def test_cycle_classes_match_cycle_pairs():
+    """Pairs of (length, sign) classes certify the same lcm lengths as the
+    full cycle-pair list, and some class pair qualifies exactly when the
+    power sequence develops an ambiguous entry."""
+    rng = random.Random(1313)
+    checked = nonpowerful = 0
+    while checked < 400:
+        n = rng.randint(3, 7)
+        s = random_signed(rng, n, rng.randint(n + 1, 2 * n))
+        if not is_primitive(s.underlying()):
+            continue
+        classes = signed._cycle_classes(s)
+        assert len(classes) <= 2 * n
+        class_lengths = {
+            lcm(a[0], b[0])
+            for a, b in combinations(classes, 2)
+            if signed._pair_condition(a, b)
+        }
+        pairs = distinguished_pairs(s)
+        assert class_lengths == {p.lcm_length for p in pairs}
+        assert (not class_lengths) == is_powerful(s) == is_powerful_by_powers(s)
+        if class_lengths:
+            carried = [
+                r for r in sorted(class_lengths)
+                if any(m >> u & 1 for u, m in enumerate(s.amb_row_masks(r)))
+            ]
+            bound = bound_common_vertices(s, 1)
+            assert [c.closed_length for c in bound.candidates] == carried
+            nonpowerful += 1
+        checked += 1
+    assert nonpowerful > 200
 
 
 def test_sssd_matrix_length_one_empty(tiny3):
