@@ -278,7 +278,7 @@ def set_exponent(d: Digraph, xs: Iterable[int]) -> int:
         raise ValueError("vertex set must be nonempty")
     k = bin(x_mask).count("1")
     full = (1 << d.n) - 1
-    cap = (d.n - k) * (d.n - 1) + 2
+    cap = _multiexponent_cap(d.n, k)
     for l, rows in iter_reach_rows(d):
         union = 0
         m = x_mask
@@ -288,8 +288,8 @@ def set_exponent(d: Digraph, xs: Iterable[int]) -> int:
             union |= rows[u]
         if union == full:
             return l
-        if l > cap:
-            raise ConsistencyError("set-exponent scan exceeded its structural bound")
+        if l >= cap:
+            raise ConsistencyError(f"set-exponent scan passed its ceiling {cap}")
     raise AssertionError("unreachable")
 
 

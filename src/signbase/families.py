@@ -20,8 +20,8 @@ from .signed import (
     SignedDigraph,
     cycles,
     is_powerful,
-    kth_upper_base,
     sssd_matrix,
+    upper_base_table,
 )
 
 
@@ -347,13 +347,13 @@ def verify_closed_forms(
     out = []
     for n in ns:
         ks = sorted(set(k_values)) if k_values is not None else list(range(1, n + 1))
-        d1 = build_d1(n, CANONICAL_NONPOWERFUL)
-        d2_same = build_d2(n, SAME_SIGN_NM1)
-        d2_diff = build_d2(n, DIFFERENT_SIGN_NM1)
+        d1 = upper_base_table(build_d1(n, CANONICAL_NONPOWERFUL))
+        d2_same = upper_base_table(build_d2(n, SAME_SIGN_NM1))
+        d2_diff = upper_base_table(build_d2(n, DIFFERENT_SIGN_NM1))
         for k in ks:
             if not (1 <= k <= n):
                 raise ValueError(f"k must be in 1..{n}")
-            r1 = kth_upper_base(d1, k)
+            r1 = d1[k - 1]
             expected = (2 * n - k) * (n - 1) + 1
             out.append(
                 _outcome(
@@ -361,7 +361,7 @@ def verify_closed_forms(
                     expected, expected, r1.value, r1.witness,
                 )
             )
-            r2 = kth_upper_base(d2_same, k)
+            r2 = d2_same[k - 1]
             expected = (2 * n - k) * (n - 1)
             out.append(
                 _outcome(
@@ -369,7 +369,7 @@ def verify_closed_forms(
                     expected, expected, r2.value, r2.witness,
                 )
             )
-            r3 = kth_upper_base(d2_diff, k)
+            r3 = d2_diff[k - 1]
             bound = (n - k + 1) * (n - 1) + 2
             out.append(
                 _outcome(
@@ -425,8 +425,9 @@ def verify_third_bound_and_gap(
         d = s.underlying()
         iso_d1 = isomorphic_to(d, "d1")
         iso_d2 = isomorphic_to(d, "d2")
+        table = upper_base_table(s)
         for k in ks:
-            result = kth_upper_base(s, k)
+            result = table[k - 1]
             ceiling = (2 * n - k) * (n - 1)
             if iso_d1:
                 out.append(

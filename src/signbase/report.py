@@ -25,12 +25,12 @@ from .errors import ConsistencyError, StructuralError
 from .sdgio import serialize_sdg
 from .signed import (
     SignedDigraph,
-    bound_common_vertices,
-    bound_sssd_pair,
+    closed_walk_bounds,
     cycles,
     distinguished_pairs,
     is_powerful,
     upper_base_table,
+    walk_pair_bounds,
 )
 
 SCHEMA_VERSION = 1
@@ -123,49 +123,46 @@ def build_report(s: SignedDigraph, ks: list[int] | None = None) -> dict:
         doc["bounds"] = None
         return doc
     trace = s.power_trace()
-    base_rows = {r.k: r for r in upper_base_table(s)}
     doc["bases"] = {
         "generalized_base": trace.base_l,
         "period": trace.period_p,
         "table": [
             {
-                "k": k,
-                "value": base_rows[k].value,
-                "witness": list(base_rows[k].witness),
+                "k": r.k,
+                "value": r.value,
+                "witness": list(r.witness),
             }
-            for k in k_list
+            for r in upper_base_table(s)
+            if r.k in k_list
         ],
     }
-    bounds = []
-    for k in k_list:
-        wp = bound_sssd_pair(s, k)
-        cw = bound_common_vertices(s, k)
-        bounds.append(
-            {
-                "k": k,
-                "walk_pair": {
-                    "value": wp.value,
-                    "multiexponent": wp.multiexponent,
-                    "diameter": wp.diameter,
-                    "pair_length": wp.pair_length,
-                    "source": wp.source,
-                    "target": wp.target,
-                },
-                "closed_walks": {
-                    "value": cw.value,
-                    "multiexponent": cw.multiexponent,
-                    "candidates": [
-                        {
-                            "closed_length": c.closed_length,
-                            "vertices": list(c.vertices),
-                            "value": c.value,
-                        }
-                        for c in cw.candidates
-                    ],
-                },
-            }
-        )
-    doc["bounds"] = bounds
+    doc["bounds"] = [
+        {
+            "k": wp.k,
+            "walk_pair": {
+                "value": wp.value,
+                "multiexponent": wp.multiexponent,
+                "diameter": wp.diameter,
+                "pair_length": wp.pair_length,
+                "source": wp.source,
+                "target": wp.target,
+            },
+            "closed_walks": {
+                "value": cw.value,
+                "multiexponent": cw.multiexponent,
+                "candidates": [
+                    {
+                        "closed_length": c.closed_length,
+                        "vertices": list(c.vertices),
+                        "value": c.value,
+                    }
+                    for c in cw.candidates
+                ],
+            },
+        }
+        for wp, cw in zip(walk_pair_bounds(s), closed_walk_bounds(s))
+        if wp.k in k_list
+    ]
     _audit(doc)
     return doc
 

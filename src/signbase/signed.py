@@ -27,7 +27,7 @@ from .digraph import (
     diameter,
     enumerate_cycles,
     is_primitive,
-    upper_multiexponent,
+    multiexponent_table,
 )
 from .errors import CapacityError, ConsistencyError, StructuralError
 from .gsign import MAX_ORDER, GenSign, PowerTrace, SignPattern, _first_repeat, mat_mul
@@ -444,22 +444,20 @@ class WalkPairBound:
     target: int
 
 
-def bound_sssd_pair(s: SignedDigraph, k: int) -> WalkPairBound:
-    """Tightest walk-pair bound: uses the least r carrying any
-    opposite-sign pair, found by scanning the power sequence."""
+def walk_pair_bounds(s: SignedDigraph) -> tuple[WalkPairBound, ...]:
+    """Tightest walk-pair bound for every k = 1..n: uses the least r
+    carrying any opposite-sign pair, found by scanning the power sequence.
+    Only F(k) depends on k."""
     _require_base_input(s, "the walk-pair bound")
-    if not (1 <= k <= s.n):
-        raise ValueError(f"k must be in 1..{s.n}")
     d = s.underlying()
-    f_k = upper_multiexponent(d, k)
     diam = diameter(d)
-    cap = _scan_cap(s, 1)
-    for r in range(1, cap + 1):
+    for r in range(1, _scan_cap(s, 1) + 1):
         masks = s.amb_row_masks(r)
-        for u in range(s.n):
-            if masks[u]:
-                v = (masks[u] & -masks[u]).bit_length() - 1
-                return WalkPairBound(
+        u = next((u for u, m in enumerate(masks) if m), None)
+        if u is not None:
+            v = (masks[u] & -masks[u]).bit_length() - 1
+            return tuple(
+                WalkPairBound(
                     k=k,
                     value=f_k + diam + r,
                     multiexponent=f_k,
@@ -468,6 +466,8 @@ def bound_sssd_pair(s: SignedDigraph, k: int) -> WalkPairBound:
                     source=u + 1,
                     target=v + 1,
                 )
+                for k, f_k in enumerate(multiexponent_table(d), 1)
+            )
     raise ConsistencyError(
         "no opposite-sign walk pair found below the stabilization ceiling"
     )
@@ -500,28 +500,30 @@ class ClosedWalkBound:
     candidates: tuple[ClosedWalkCandidate, ...]
 
 
-def bound_common_vertices(s: SignedDigraph, k: int) -> ClosedWalkBound:
+def closed_walk_bounds(s: SignedDigraph) -> tuple[ClosedWalkBound, ...]:
+    """Closed-walk bound for every k = 1..n.  The candidate lengths and
+    their carrying sets do not depend on k; only F(k) does."""
     _require_base_input(s, "the closed-walk bound")
-    if not (1 <= k <= s.n):
-        raise ValueError(f"k must be in 1..{s.n}")
-    f_k = upper_multiexponent(s.underlying(), k)
     classes = _cycle_classes(s)
     lengths = sorted(
         {lcm(a[0], b[0]) for a, b in combinations(classes, 2) if _pair_condition(a, b)}
     )
-    candidates = []
+    carried = []
     for r in lengths:
         masks = s.amb_row_masks(r)
         carriers = tuple(u + 1 for u in range(s.n) if masks[u] >> u & 1)
         if carriers:
-            candidates.append(
-                ClosedWalkCandidate(
-                    closed_length=r,
-                    vertices=carriers,
-                    value=f_k + r + s.n - len(carriers),
-                )
+            carried.append((r, carriers))
+    rows = []
+    for k, f_k in enumerate(multiexponent_table(s.underlying()), 1):
+        candidates = tuple(
+            ClosedWalkCandidate(
+                closed_length=r, vertices=carriers, value=f_k + r + s.n - len(carriers)
             )
-    value = min((c.value for c in candidates), default=None)
-    return ClosedWalkBound(
-        k=k, value=value, multiexponent=f_k, candidates=tuple(candidates)
-    )
+            for r, carriers in carried
+        )
+        value = min((c.value for c in candidates), default=None)
+        rows.append(
+            ClosedWalkBound(k=k, value=value, multiexponent=f_k, candidates=candidates)
+        )
+    return tuple(rows)

@@ -101,6 +101,7 @@ def test_upper_base_ceiling_still_raises(monkeypatch):
 def test_multiexponent_ceiling_still_raises(monkeypatch):
     d = build_d1(7).underlying()
     f1 = upper_multiexponent(d, 1)
+    _, (worst,) = _brute_max(lambda xs: set_exponent(d, xs), d.n, 1)
     monkeypatch.setattr(digraph, "_multiexponent_cap", lambda n, k: 2)
     with pytest.raises(ConsistencyError, match="ceiling 2"):
         multiexponent_table(d)
@@ -109,8 +110,12 @@ def test_multiexponent_ceiling_still_raises(monkeypatch):
     monkeypatch.setattr(digraph, "_multiexponent_cap", lambda n, k: f1 - 1)
     with pytest.raises(ConsistencyError):
         upper_multiexponent(d, 1)
+    # The one-set reference shares the kernel's ceiling and its rule.
+    with pytest.raises(ConsistencyError):
+        set_exponent(d, [worst])
     monkeypatch.setattr(digraph, "_multiexponent_cap", lambda n, k: f1)
     assert multiexponent_table(d)[0] == f1
+    assert set_exponent(d, [worst]) == f1
 
 
 def test_kernel_resolves_k1_and_kn_at_their_first_lengths():

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from signbase import ConsistencyError, SignedDigraph, build_d1, gsign, parse_sdg, signed
+from signbase import (
+    ConsistencyError,
+    SignedDigraph,
+    build_d1,
+    digraph,
+    gsign,
+    parse_sdg,
+    signed,
+)
 from signbase.report import build_report, input_digest, render_text, report_json
 
 from conftest import TINY3_ARCS
@@ -97,3 +105,19 @@ def test_report_computes_each_power_once(monkeypatch):
     doc = build_report(build_d1(9))
     assert doc["bases"]["table"][0]["value"] == 137
     assert len(calls) <= 137
+
+
+def test_report_scans_reach_rows_at_most_four_times(monkeypatch):
+    # The exponent, the F_k table and the two bound tables; the bounds must
+    # not rescan the reach rows once per k.
+    calls = []
+    real = digraph.iter_reach_rows
+
+    def counting(d):
+        calls.append(1)
+        return real(d)
+
+    monkeypatch.setattr(digraph, "iter_reach_rows", counting)
+    doc = build_report(build_d1(9))
+    assert len(doc["bounds"]) == 9
+    assert len(calls) <= 4

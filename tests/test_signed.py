@@ -21,11 +21,11 @@ from signbase import (
     PairCondition,
     SignedDigraph,
     StructuralError,
-    bound_common_vertices,
-    bound_sssd_pair,
     build_d1,
     build_d2,
+    closed_walk_bounds,
     cycles,
+    diameter,
     distinguished_pairs,
     enumerate_signs,
     is_powerful,
@@ -38,6 +38,8 @@ from signbase import (
     set_base,
     sssd_matrix,
     upper_base_table,
+    upper_multiexponent,
+    walk_pair_bounds,
 )
 
 from signbase import signed
@@ -170,7 +172,7 @@ def test_cycle_classes_match_cycle_pairs():
                 r for r in sorted(class_lengths)
                 if any(m >> u & 1 for u, m in enumerate(s.amb_row_masks(r)))
             ]
-            bound = bound_common_vertices(s, 1)
+            bound = closed_walk_bounds(s)[0]
             assert [c.closed_length for c in bound.candidates] == carried
             nonpowerful += 1
         checked += 1
@@ -319,7 +321,7 @@ def test_monotone_chain_and_base_identity(tiny3):
 
 
 def test_bound_sssd_pair_tiny3(tiny3):
-    b = bound_sssd_pair(tiny3, 1)
+    b = walk_pair_bounds(tiny3)[0]
     # Oracle-derived ingredients: first pair at length 5 from 2 to 1.
     assert (b.multiexponent, b.diameter, b.pair_length) == (5, 2, 5)
     assert (b.source, b.target) == (2, 1)
@@ -327,7 +329,7 @@ def test_bound_sssd_pair_tiny3(tiny3):
 
 
 def test_bound_sssd_pair_d2_different_sign():
-    b = bound_sssd_pair(build_d2(6, DIFFERENT_SIGN_NM1), 1)
+    b = walk_pair_bounds(build_d2(6, DIFFERENT_SIGN_NM1))[0]
     # The two sign-differing routes of length 2 from n-1 into 2.
     assert (b.multiexponent, b.diameter, b.pair_length) == (25, 5, 2)
     assert (b.source, b.target) == (5, 2)
@@ -335,13 +337,13 @@ def test_bound_sssd_pair_d2_different_sign():
 
 
 def test_bound_common_vertices_examples(tiny3):
-    b = bound_common_vertices(tiny3, 1)
+    b = closed_walk_bounds(tiny3)[0]
     assert b.value == 12
     assert len(b.candidates) == 1
     cand = b.candidates[0]
     assert cand.closed_length == 6
     assert cand.vertices == (1, 2)
-    b = bound_common_vertices(build_d2(7, SAME_SIGN_NM1), 1)
+    b = closed_walk_bounds(build_d2(7, SAME_SIGN_NM1))[0]
     # Every vertex carries a closed pair of length n(n-1) = 42, so the
     # bound collapses to F_1 + 42 and is tight against L_1 = 78.
     assert b.value == 78
@@ -360,12 +362,59 @@ def test_bounds_dominate_upper_base(tiny3):
     for i in range(6):
         population.append(random_primitive_nonpowerful(6, 9 + i % 3, 900 + i))
     for s in population:
-        for k in (1, 2, s.n):
-            value = kth_upper_base(s, k).value
-            assert bound_sssd_pair(s, k).value >= value
-            cw = bound_common_vertices(s, k)
+        rows = zip(upper_base_table(s), walk_pair_bounds(s), closed_walk_bounds(s))
+        for base, wp, cw in rows:
+            assert base.k == wp.k == cw.k
+            assert wp.value >= base.value
             if cw.value is not None:
-                assert cw.value >= value
+                assert cw.value >= base.value
+
+
+def _bound_population(tiny3):
+    population = [tiny3]
+    for n in range(6, 9):
+        population.append(build_d1(n))
+        population.append(build_d2(n, SAME_SIGN_NM1))
+        population.append(build_d2(n, DIFFERENT_SIGN_NM1))
+    for i in range(6):
+        population.append(random_primitive_nonpowerful(6 + i % 2, 9 + i % 3, 700 + i))
+    return population
+
+
+def test_walk_pair_rows_match_their_definition(tiny3):
+    for s in _bound_population(tiny3):
+        d = s.underlying()
+        rows = walk_pair_bounds(s)
+        assert [b.k for b in rows] == list(range(1, s.n + 1))
+        for b in rows:
+            assert b.multiexponent == upper_multiexponent(d, b.k)
+            assert b.diameter == diameter(d)
+            assert sssd_matrix(s, b.pair_length)[b.source - 1][b.target - 1]
+            for l in range(1, b.pair_length):
+                assert not any(any(row) for row in sssd_matrix(s, l))
+            assert b.value == b.multiexponent + b.diameter + b.pair_length
+
+
+def test_closed_walk_rows_match_their_definition(tiny3):
+    for s in _bound_population(tiny3):
+        d = s.underlying()
+        lengths = sorted({p.lcm_length for p in distinguished_pairs(s)})
+        carried = []
+        for r in lengths:
+            grid = sssd_matrix(s, r)
+            vertices = tuple(u for u in range(1, s.n + 1) if grid[u - 1][u - 1])
+            if vertices:
+                carried.append((r, vertices))
+        rows = closed_walk_bounds(s)
+        assert [b.k for b in rows] == list(range(1, s.n + 1))
+        for b in rows:
+            f_k = upper_multiexponent(d, b.k)
+            assert b.multiexponent == f_k
+            assert [(c.closed_length, c.vertices) for c in b.candidates] == carried
+            for c in b.candidates:
+                assert c.value == f_k + c.closed_length + s.n - len(c.vertices)
+            expected = min((c.value for c in b.candidates), default=None)
+            assert b.value == expected
 
 
 def test_coverage_monotone_in_length(tiny3):
