@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from . import __version__
+from . import __version__, digraph
 from .digraph import (
     diameter,
     exponent,
@@ -21,7 +21,7 @@ from .digraph import (
     shortest_cycle_length,
     strongly_connected,
 )
-from .errors import ConsistencyError, StructuralError
+from .errors import CapacityError, ConsistencyError, StructuralError
 from .sdgio import serialize_sdg
 from .signed import (
     SignedDigraph,
@@ -77,7 +77,13 @@ def build_report(s: SignedDigraph, ks: list[int] | None = None) -> dict:
         "input_digest": input_digest(s),
     }
     d = s.underlying()
-    cycle_records = cycles(s)
+    try:
+        cycle_records = cycles(s)
+    except CapacityError:
+        raise CapacityError(
+            f"more than {digraph.CYCLE_OUTPUT_LIMIT} cycles: the report lists every "
+            "simple cycle; upper-base and multiexponent still work on this input"
+        ) from None
     doc["structure"] = {
         "n": n,
         "arc_count": len(s.arcs),

@@ -256,15 +256,45 @@ def _pair_condition(a: tuple[int, int], b: tuple[int, int]) -> PairCondition | N
 def is_powerful(s: SignedDigraph) -> bool:
     """True iff no power of the sign matrix ever develops an ambiguous entry.
 
-    Decided through the cycle-pair characterization: a primitive signed
-    digraph is non-powerful exactly when it holds an odd cycle together
-    with a negative even cycle, or two odd cycles of opposite sign.
-    :func:`is_powerful_by_powers` evaluates the defining property directly;
-    the two must always agree.
+    Decided by a switching test, without listing cycles.  By Li, Hall and
+    Eschenbach (LAA 1994) a primitive signed digraph is powerful exactly
+    when no cycle pair certifies otherwise (an odd cycle with a negative
+    even cycle, or two odd cycles of opposite sign), that is, when for some
+    ``eps`` in {+1, -1} every cycle C has sign ``eps ** len(C)``.  Then
+    multiplying every arc sign by ``eps`` makes all cycles positive; for a
+    strongly connected digraph the directed cycles span the cycle space, so
+    by Harary's balance theorem (1953) that holds exactly when vertex signs
+    ``sigma`` exist with ``sign(u, v) = eps * sigma(u) * sigma(v)`` on every
+    arc, direction ignored (a loop needs ``eps * sign = +1``).  One
+    traversal from vertex 1 per ``eps`` either finds such ``sigma`` or a
+    conflicting arc.  :func:`is_powerful_by_powers` evaluates the defining
+    property directly; the two must always agree.
     """
     _require_primitive(s, "the powerfulness test")
-    classes = _cycle_classes(s)
-    return not any(_pair_condition(a, b) for a, b in combinations(classes, 2))
+    links: list[list[tuple[int, int]]] = [[] for _ in range(s.n)]
+    for u, v, sign in s.arcs:
+        links[u - 1].append((v - 1, sign))
+        links[v - 1].append((u - 1, sign))
+    return _switches_to_sign(links, 1) or _switches_to_sign(links, -1)
+
+
+def _switches_to_sign(links: list[list[tuple[int, int]]], eps: int) -> bool:
+    """Whether vertex signs ``sigma`` exist with ``sign = eps * sigma(u) *
+    sigma(v)`` for every link (v, sign) in ``links[u]``, for every u.  The
+    links must connect every vertex to vertex 0."""
+    sigma = [0] * len(links)
+    sigma[0] = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, sign in links[u]:
+            want = eps * sign * sigma[u]
+            if not sigma[v]:
+                sigma[v] = want
+                stack.append(v)
+            elif sigma[v] != want:
+                return False
+    return True
 
 
 def is_powerful_by_powers(s: SignedDigraph) -> bool:

@@ -107,6 +107,25 @@ def test_exit_codes(tmp_path, capsys):
     assert exc_info.value.code == 2
 
 
+def test_analyze_cycle_limit_message(tmp_path, capsys, monkeypatch):
+    import signbase.digraph as dg
+
+    monkeypatch.setattr(dg, "CYCLE_OUTPUT_LIMIT", 10)
+    arcs = "".join(
+        f"{u} {v} {'-' if (u, v) == (1, 2) else '+'}\n"
+        for u in range(1, 6) for v in range(1, 6) if u != v
+    )
+    path = tmp_path / "complete5.sdg"
+    path.write_text("sdg n=5\n" + arcs)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "more than 10 cycles: the report lists every simple cycle" in err
+    assert "upper-base and multiexponent still work on this input" in err
+    assert "length_cap" not in err
+    assert main(["upper-base", str(path), "--k", "1"]) == 0
+    assert main(["multiexponent", str(path), "--k", "1"]) == 0
+
+
 def test_verify_closed_forms_cli(capsys):
     assert main(["verify", "--suite", "closed-forms", "--n-min", "6",
                  "--n-max", "6"]) == 0

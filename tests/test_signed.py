@@ -35,6 +35,7 @@ from signbase import (
     oracle_set_base,
     power_sequence_base,
     random_primitive_nonpowerful,
+    serialize_sdg,
     set_base,
     sssd_matrix,
     upper_base_table,
@@ -43,6 +44,7 @@ from signbase import (
 )
 
 from signbase import signed
+from signbase.cli import main
 
 from conftest import TINY3_ARCS
 
@@ -94,6 +96,38 @@ def test_is_powerful_examples(tiny3):
         is_powerful(SignedDigraph(2, [(1, 2, 1)]))
 
 
+def powerful_by_cycle_classes(s):
+    """The cycle-pair characterization, over (length, sign) classes: the
+    reference that the switching test replaced."""
+    classes = signed._cycle_classes(s)
+    return not any(signed._pair_condition(a, b) for a, b in combinations(classes, 2))
+
+
+def balanced_signs(rng, arcs):
+    """Signs eps * sigma(u) * sigma(v) for random eps and vertex signs
+    sigma: a switching class that is powerful whenever it is primitive."""
+    eps = rng.choice((1, -1))
+    sigma = {v: rng.choice((1, -1)) for arc in arcs for v in arc}
+    return {(u, v): eps * sigma[u] * sigma[v] for u, v in arcs}
+
+
+def assert_powerful_routes_agree(s, rng, by_classes=True):
+    """Switching test, power sequence and (optionally) class pairs agree on
+    ``s``, on a random switching D·A·D of it and on its negation."""
+    verdict = is_powerful_by_powers(s)
+    assert is_powerful(s) == verdict
+    if by_classes:
+        assert powerful_by_cycle_classes(s) == verdict
+    flip = {v for v in range(1, s.n + 1) if rng.random() < 0.5}
+    switched = SignedDigraph(
+        s.n, [(u, v, -x if (u in flip) != (v in flip) else x) for u, v, x in s.arcs]
+    )
+    negated = SignedDigraph(s.n, [(u, v, -x) for u, v, x in s.arcs])
+    for t in (switched, negated):
+        assert is_powerful(t) == is_powerful_by_powers(t) == verdict
+    return verdict
+
+
 def test_powerful_routes_agree_small_and_sampled(tiny3):
     rng = random.Random(515)
     checked = 0
@@ -102,15 +136,103 @@ def test_powerful_routes_agree_small_and_sampled(tiny3):
         s = random_signed(rng, n, rng.randint(n, n * n))
         if not is_primitive(s.underlying()):
             continue
-        assert is_powerful(s) == is_powerful_by_powers(s)
+        assert_powerful_routes_agree(s, rng)
         checked += 1
     assert checked > 60
     for _ in range(25):
         n = rng.randint(6, 7)
         s = random_signed(rng, n, rng.randint(n + 1, 2 * n))
         if is_primitive(s.underlying()):
-            assert is_powerful(s) == is_powerful_by_powers(s)
+            assert_powerful_routes_agree(s, rng)
     assert is_powerful_by_powers(tiny3) == is_powerful(tiny3) == False
+
+    # Loops of both signs and opposite-sign 2-cycles, on balanced signings
+    # (some perturbed by one flipped arc) so that both verdicts occur.
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+        signs = balanced_signs(rng, rng.sample(pairs, rng.randint(n, min(n * n, 3 * n))))
+        if rng.random() < 0.4:
+            arc = rng.choice(sorted(signs))
+            signs[arc] = -signs[arc]
+        opposite = rng.random() < 0.25
+        if opposite:
+            u, v = rng.sample(range(1, n + 1), 2)
+            signs[(u, v)] = 1
+            signs[(v, u)] = -1
+        s = SignedDigraph(n, [(u, v, x) for (u, v), x in signs.items()])
+        if not is_primitive(s.underlying()):
+            continue
+        verdict = assert_powerful_routes_agree(s, rng)
+        assert not (opposite and verdict)
+        seen |= {(verdict, x) for (u, v), x in signs.items() if u == v}
+        seen.add((verdict, "opposite" if opposite else None))
+    assert {(True, 1), (True, -1), (False, 1), (False, -1), (False, "opposite")} <= seen
+
+    # Dense inputs (every off-diagonal arc): random signs, balanced signs
+    # (powerful), balanced signs with one arc flipped, and balanced signs
+    # plus loops.  Listing the cycles for the class reference costs about a
+    # second per input at n = 9, so it runs at n = 8 only.
+    for n in (8, 9):
+        arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        balanced = balanced_signs(rng, arcs)
+        eps = balanced[(1, 2)] * balanced[(2, 3)] * balanced[(3, 1)]  # sign eps^3
+        flipped = dict(balanced)
+        flipped[rng.choice(arcs)] *= -1
+        looped = dict(balanced)
+        looped.update({(v, v): eps for v in range(1, n + 1)})
+        bad_loop = dict(looped)
+        bad_loop[(n, n)] = -eps
+        cases = [
+            ({arc: rng.choice((1, -1)) for arc in arcs}, False),
+            (balanced, True),
+            (flipped, None),
+            (looped, True),
+            (bad_loop, False),
+        ]
+        for signs, expected in cases:
+            s = SignedDigraph(n, [(u, v, x) for (u, v), x in signs.items()])
+            verdict = assert_powerful_routes_agree(s, rng, by_classes=n == 8)
+            assert expected is None or verdict == expected
+
+
+def complete_signed(n, seed):
+    """Every off-diagonal arc, with signs from ``Random(seed)``."""
+    rng = random.Random(seed)
+    return SignedDigraph(
+        n,
+        [(u, v, rng.choice((1, -1)))
+         for u in range(1, n + 1) for v in range(1, n + 1) if u != v],
+    )
+
+
+def test_base_calls_list_no_cycles(monkeypatch, tmp_path, capsys):
+    """No base computation lists cycles, so complete inputs with millions of
+    cycles get their upper bases."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a base computation enumerated cycles")
+
+    monkeypatch.setattr(signed, "enumerate_cycles", refuse)
+    s = complete_signed(10, 10)
+    assert not is_powerful(s)
+    first, last = kth_upper_base(s, 1), kth_upper_base(s, s.n)
+    table = upper_base_table(s)
+    assert (table[0].value, table[-1].value) == (first.value, last.value)
+    for bound, row in zip(walk_pair_bounds(s), table):
+        assert bound.value >= row.value
+    sampled = random_primitive_nonpowerful(7, 14, 17)
+    assert not is_powerful_by_powers(sampled)
+    for n in (10, 12, 16):
+        s = complete_signed(n, n)
+        path = tmp_path / f"complete{n}.sdg"
+        path.write_text(serialize_sdg(s))
+        l_1 = max(set_base(s, [v]) for v in range(1, n + 1))
+        l_n = set_base(s, range(1, n + 1))
+        assert main(["upper-base", str(path), "--k", "1"]) == 0
+        assert capsys.readouterr().out.strip() == str(l_1)
+        assert main(["upper-base", str(path), "--k", str(n)]) == 0
+        assert capsys.readouterr().out.strip() == str(l_n)
 
 
 def test_distinguished_pairs_examples(tiny3):
